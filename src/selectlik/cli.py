@@ -39,14 +39,6 @@ class _CliError(Exception):
         super().__init__(message)
 
 
-def _threads():
-    raw = os.environ.get("SELECTLIK_THREADS", "1")
-    try:
-        return max(int(raw), 1)
-    except ValueError:
-        raise _CliError(EXIT_INPUT, f"SELECTLIK_THREADS must be an integer, got {raw!r}")
-
-
 def _float_list(text, flag):
     try:
         return [float(v) for v in text.split(",") if v != ""]
@@ -112,8 +104,8 @@ def _atomic_write(path, text):
 
 
 def _emit_json(payload, out_path=None):
-    payload = {"schema_version": SCHEMA_VERSION, **payload}
-    text = json.dumps(payload, indent=2, allow_nan=True) + "\n"
+    payload = _jsonable({"schema_version": SCHEMA_VERSION, **payload})
+    text = json.dumps(payload, indent=2, allow_nan=False) + "\n"
     if out_path:
         _atomic_write(out_path, text)
     else:
@@ -121,8 +113,13 @@ def _emit_json(payload, out_path=None):
 
 
 def _jsonable(value):
-    if isinstance(value, float) and math.isinf(value):
-        return "-inf" if value < 0 else "inf"
+    """Strict-JSON copy of a payload: non-finite floats become "inf", "-inf", "nan"."""
+    if isinstance(value, dict):
+        return {k: _jsonable(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_jsonable(v) for v in value]
+    if isinstance(value, float) and not math.isfinite(value):
+        return "nan" if math.isnan(value) else ("-inf" if value < 0 else "inf")
     return value
 
 
@@ -214,7 +211,6 @@ def _cmd_contour(args):
             resolution,
             steps,
             profile_weights=args.profile_weights,
-            n_jobs=_threads(),
         )
     except InvalidInputError as exc:
         raise _CliError(EXIT_INPUT, str(exc))
@@ -254,7 +250,7 @@ def _cmd_probe(args):
                     "n": p.n,
                     "theta0": p.theta0,
                     "tau": p.tau,
-                    "loglik": _jsonable(p.loglik),
+                    "loglik": p.loglik,
                     "accepted": p.accepted,
                 }
                 for p in report.probed_ray
@@ -262,7 +258,7 @@ def _cmd_probe(args):
             "max_accepted_n": report.max_accepted_n,
             "unbounded": report.unbounded,
             "diameter_lower_bound": report.diameter_lower_bound,
-            "limit_loglik": _jsonable(report.limit_loglik),
+            "limit_loglik": report.limit_loglik,
         },
         args.out,
     )

@@ -14,15 +14,17 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.optimize import brentq, minimize, minimize_scalar
-from scipy.special import softmax
 from scipy.stats import chi2
 
+from ._normal import norm_logpdf
 from .asymptotics import limit_loglik, witness_loglik
 from .exceptions import InvalidInputError, NoRidgeError, NonConvergenceError
 from .model import (
     ModelParams,
     SelectionSteps,
+    _logsumexp_last,
     band_index,
+    log_band_masses,
     log_likelihood,
     loglik_terms,
     p_value,
@@ -66,7 +68,9 @@ class LogLikGrid:
 
     ``values[i, j]`` is the log-likelihood at (theta_axis[i], tau_axis[j]).
     ``profiled_weights`` records whether selection weights were maximized
-    out at each cell (True) or held at ``rho_fixed`` (False).
+    out at each cell (True) or held at ``rho_fixed`` (False);
+    ``failed_cells`` counts the profiled cells whose weight solve did not
+    converge.
     """
 
     theta_axis: np.ndarray
@@ -74,6 +78,7 @@ class LogLikGrid:
     values: np.ndarray
     rho_fixed: SelectionSteps
     profiled_weights: bool = False
+    failed_cells: int = 0
 
 
 @dataclass(frozen=True)
@@ -155,9 +160,14 @@ def _data_arrays(data):
 
 
 def _weights_from_increments(d):
-    """rho_1..rho_K from K-1 unconstrained increments, via negative softplus."""
+    """rho_1..rho_K from K-1 unconstrained increments, via negative softplus.
+
+    Weights are floored at the smallest normal float: with no study in the
+    last band the likelihood keeps rising as that weight falls, and the
+    optimizer would otherwise drive it to an exact 0, outside the model.
+    """
     eta = -np.cumsum(np.logaddexp(0.0, np.asarray(d, dtype=float)))
-    return np.concatenate([[1.0], np.exp(eta)])
+    return np.concatenate([[1.0], np.maximum(np.exp(eta), np.finfo(float).tiny)])
 
 
 def _increments_from_weights(weights):
@@ -271,34 +281,126 @@ def _fixed_grid_values(x, se, bands, theta_axis, tau_axis, steps):
     return terms.sum(axis=-1)
 
 
-def _profile_cell(lbm, nk, base, d0):
-    """Maximize the log-likelihood over weights at one (theta0, tau) cell.
+# The weight profile works on log-weight increments d (eta = L d, eta_1 = 0)
+# in this box; the lower edge stands in for a band weight of zero.
+_D_LO, _D_HI = -500.0, 0.0
+# Cells x studies x bands held at once by the batched profile: bounds its
+# working arrays at a few hundred kB whatever the grid size.
+_PROFILE_CHUNK_ELEMS = 2**16
+# Newton steps are capped in max-norm: on far-left cells the Hessian vanishes
+# and an uncapped step overshoots straight to the box edge.
+_MAX_STEP = 16.0
+_PG_TOL = 1e-10
+# Bounds within this distance (or the projected-gradient size, if smaller) of
+# a variable whose gradient pushes into them are held fixed for the Newton step.
+_EPS_ACTIVE = 1e-3
+_ARMIJO = 1e-4
+_MAX_ITER = 500
+_MAX_HALVINGS = 50
 
-    The objective is concave in eta = log(rho), so a bounded quasi-Newton
-    solve on the non-positive increments d (eta_k = sum of d_j) is reliable
-    and fast.  Returns (loglik, d_opt).
+
+def _eta(d):
+    """Log weights eta = (0, cumsum(d)) from increments d, batched over rows."""
+    zero = np.zeros(d.shape[:-1] + (1,))
+    return np.concatenate([zero, np.cumsum(d, axis=-1)], axis=-1)
+
+
+def _profile_value(lbm, nk, d):
+    """nk . eta - sum_i logsumexp_k(lbm_ik + eta_k) for each cell (no base)."""
+    eta = _eta(d)
+    return eta @ nk - _logsumexp_last(lbm + eta[:, None, :]).sum(axis=-1)
+
+
+def _profile_gain(pi, nk, step):
+    """Exact change of the profile objective for a step, from the softmax pi.
+
+    log(sum_k pi_ik exp(deta_k)) is taken as log1p of the expm1 form, so a
+    tiny step gives a gain accurate relative to itself rather than to the
+    objective; where that sum nears -1 the direct form is used instead.
     """
-    K = lbm.shape[1]
+    deta = _eta(step)
+    s = np.einsum("cnk,ck->cn", pi, np.expm1(deta))
+    direct = np.log(np.einsum("cnk,ck->cn", pi, np.exp(deta)))
+    per_study = np.where(s > -0.5, np.log1p(np.maximum(s, -0.5)), direct)
+    return deta @ nk - per_study.sum(axis=-1)
 
-    def neg(d):
-        eta = np.concatenate([[0.0], np.cumsum(d)])
-        v = lbm + eta
-        m = v.max(axis=1)
-        lse = m + np.log(np.exp(v - m[:, None]).sum(axis=1))
-        ll = float(nk @ eta - lse.sum() + base)
-        g_eta = nk - softmax(v, axis=1).sum(axis=0)
-        # d eta_k / d d_j = 1 for k >= j+1
-        g_d = np.cumsum(g_eta[::-1])[::-1][1:]
-        return -ll, -g_d
 
-    res = minimize(
-        neg,
-        d0,
-        jac=True,
-        method="L-BFGS-B",
-        bounds=[(-500.0, 0.0)] * (K - 1),
-    )
-    return -float(res.fun), res.x
+def _profile_chunk(lbm, nk, d_fixed):
+    """Maximize the log-likelihood over the weights at every cell of a chunk.
+
+    ``lbm`` is (C, N, K) log band masses, ``nk`` the band counts.  The
+    objective is concave in eta, so a projected Newton ascent on d in the box
+    (Bertsekas 1982: epsilon-active bounds take a gradient step, the free
+    block a Newton step) converges from either start: rho_fixed's increments
+    or the pooled closed form eta_k = log n_k - logsumexp_i lbm_ik, which is
+    exact when every se is equal.  Each cell starts from the better of the
+    two and accepts only ascent steps, so it ends at or above its fixed-weight
+    value.  Returns the values (without the normal-density base) and a mask
+    of the cells whose projected gradient did not reach ``_PG_TOL``.
+    """
+    C, _, K = lbm.shape
+    with np.errstate(divide="ignore", invalid="ignore"):
+        eta_pool = np.log(nk) - _logsumexp_last(np.swapaxes(lbm, 1, 2))
+        d_pool = np.diff(eta_pool, axis=-1)
+    # an empty band gives -inf increments into it and +inf or nan out of it
+    d_pool = np.clip(np.nan_to_num(d_pool), _D_LO, _D_HI)
+    d_fix = np.broadcast_to(d_fixed, d_pool.shape)
+    use_pool = _profile_value(lbm, nk, d_pool) > _profile_value(lbm, nk, d_fix)
+    d = np.where(use_pool[:, None], d_pool, d_fix)
+
+    diag = np.arange(K - 1)
+    failed = np.zeros(C, dtype=bool)
+    todo = np.arange(C)
+    for _ in range(_MAX_ITER):
+        dd = d[todo]
+        v = lbm[todo] + _eta(dd)[:, None, :]
+        pi = np.exp(v - v.max(axis=-1, keepdims=True))
+        pi /= pi.sum(axis=-1, keepdims=True)
+        col = pi.sum(axis=1)
+        # d eta_k / d d_j = 1 for k > j: gradient and Hessian in d are
+        # reverse cumulative sums of those in eta, first entry dropped
+        g = np.cumsum((nk - col)[:, ::-1], axis=-1)[:, ::-1][:, 1:]
+        pg = np.clip(dd + g, _D_LO, _D_HI) - dd
+        w = np.abs(pg).max(axis=-1)
+        open_ = w > _PG_TOL
+        todo, dd, pi, col, g, w = (a[open_] for a in (todo, dd, pi, col, g, w))
+        if todo.size == 0:
+            break
+        # negative Hessian in eta: diag(sum_i pi_i) - sum_i pi_i pi_i^T
+        a = -np.einsum("cnk,cnl->ckl", pi, pi)
+        a[:, np.arange(K), np.arange(K)] += col
+        a = np.cumsum(a[:, ::-1], axis=1)[:, ::-1][:, 1:]
+        a = np.cumsum(a[:, :, ::-1], axis=2)[:, :, ::-1][:, :, 1:]
+        eps = np.minimum(_EPS_ACTIVE, w)[:, None]
+        bound = ((dd <= _D_LO + eps) & (g < 0)) | ((dd >= _D_HI - eps) & (g > 0))
+        free = ~bound
+        a = np.where(free[:, :, None] & free[:, None, :], a, 0.0)
+        ridge = 1e-12 * (1.0 + np.abs(a[:, diag, diag]).max(axis=-1))
+        a[:, diag, diag] += np.where(free, ridge[:, None], 1.0)
+        p = np.linalg.solve(a, np.where(free, g, 0.0)[..., None])[..., 0]
+        p = np.where(free, p, g)
+        p *= np.minimum(1.0, _MAX_STEP / np.abs(p).max(axis=-1))[:, None]
+
+        pending = np.arange(todo.size)
+        alpha = 1.0
+        for _ in range(_MAX_HALVINGS):
+            trial = np.clip(dd[pending] + alpha * p[pending], _D_LO, _D_HI)
+            step = trial - dd[pending]
+            gain = _profile_gain(pi[pending], nk, step)
+            ok = gain >= np.maximum(_ARMIJO * (g[pending] * step).sum(axis=-1), 0.0)
+            d[todo[pending[ok]]] = trial[ok]
+            pending = pending[~ok]
+            if pending.size == 0:
+                break
+            alpha *= 0.5
+        # no ascent step found: the cell keeps its point and counts as failed
+        failed[todo[pending]] = True
+        todo = np.delete(todo, pending)
+        if todo.size == 0:
+            break
+    else:
+        failed[todo] = True
+    return _profile_value(lbm, nk, d), failed
 
 
 def loglik_grid(
@@ -308,16 +410,20 @@ def loglik_grid(
     resolution,
     rho_fixed,
     profile_weights=False,
-    n_jobs=1,
 ):
     """Dense log-likelihood over a (theta0, tau) rectangle.
 
-    With ``profile_weights`` the selection weights are maximized out at each
-    cell (cuts stay fixed); this is the grid that exposes the likelihood
-    ridge, because the flat direction requires the weight of the last band
-    to shrink along the ray.  Otherwise every cell uses ``rho_fixed`` and
-    matches pointwise log_likelihood calls exactly.  ``n_jobs`` caps the
-    worker threads; rows are assembled in axis order either way.
+    Without ``profile_weights`` every cell uses ``rho_fixed`` and matches
+    pointwise log_likelihood calls exactly.  With it, the selection weights
+    are maximized out at each cell (cuts stay fixed); this is the grid that
+    exposes the likelihood ridge, because the flat direction requires the
+    weight of the last band to shrink along the ray.  The profile is one
+    batched projected-Newton solve over the log-weight increments
+    d in [-500, 0]^(K-1) (so weights are non-increasing, and a weight may fall
+    to e^-500 times the one above it), run on chunks of cells holding at most
+    2^16 cells x studies x bands; each chunk costs one ``log_band_masses``
+    call.  Cells whose projected gradient does not reach 1e-10 keep their
+    best ascent point and are counted in ``LogLikGrid.failed_cells``.
     """
     x, se = _data_arrays(data)
     res_theta, res_tau = (
@@ -335,34 +441,21 @@ def loglik_grid(
         values = _fixed_grid_values(x, se, bands, theta_axis, tau_axis, rho_fixed)
         return LogLikGrid(theta_axis, tau_axis, values, rho_fixed, bool(profile_weights))
 
-    from .model import log_band_masses  # grid fast path
-    from ._normal import norm_logpdf
-
     nk = np.bincount(bands, minlength=rho_fixed.n_bands).astype(float)
-    values = np.empty((len(theta_axis), len(tau_axis)))
-    # log-weight increments, clipped into the solver's box
-    d_start = np.clip(np.diff(np.log(rho_fixed.weights_array)), -500.0, 0.0)
-
-    def profile_row(i):
-        theta0 = theta_axis[i]
-        row = np.empty(len(tau_axis))
-        d_warm = d_start.copy()
-        for j, tau in enumerate(tau_axis):
-            lbm = log_band_masses(theta0, tau, se, rho_fixed)
-            base = float(norm_logpdf(x, theta0, np.hypot(tau, se)).sum())
-            row[j], d_warm = _profile_cell(lbm, nk, base, d_warm)
-        return row
-
-    if n_jobs and n_jobs > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=n_jobs) as pool:
-            for i, row in enumerate(pool.map(profile_row, range(len(theta_axis)))):
-                values[i] = row
-    else:
-        for i in range(len(theta_axis)):
-            values[i] = profile_row(i)
-    return LogLikGrid(theta_axis, tau_axis, values, rho_fixed, True)
+    d_fixed = np.clip(np.diff(rho_fixed.log_weights), _D_LO, _D_HI)
+    th, tu = (g.ravel() for g in np.meshgrid(theta_axis, tau_axis, indexing="ij"))
+    values = np.empty(th.size)
+    failed = 0
+    chunk = max(1, _PROFILE_CHUNK_ELEMS // (len(x) * rho_fixed.n_bands))
+    for lo in range(0, th.size, chunk):
+        t, u = th[lo : lo + chunk, None], tu[lo : lo + chunk, None]
+        lbm = log_band_masses(t, u, se, rho_fixed)  # (C, N, K)
+        base = norm_logpdf(x, t, np.hypot(u, se)).sum(axis=-1)
+        prof, bad = _profile_chunk(lbm, nk, d_fixed)
+        values[lo : lo + chunk] = prof + base
+        failed += int(bad.sum())
+    values = values.reshape(len(theta_axis), len(tau_axis))
+    return LogLikGrid(theta_axis, tau_axis, values, rho_fixed, True, failed)
 
 
 def ridge_slope(grid, level_offset):

@@ -304,22 +304,24 @@ def hedges_logpdf(x, params, sigma):
 
 
 def hedges_cdf(x, params, sigma):
-    """CDF of the selection model, via the truncated-normal mixture form."""
-    mix = mixture_probabilities(params, sigma)
-    s = np.hypot(params.tau, sigma)
+    """CDF of the selection model, summed over bands in log space.
+
+    P(X <= x) = sum_k rho_k * P(band k, X <= x) / c, where the part of band k
+    below x is a log_gauss_mass over the band's window cut at x.  All bands
+    are taken at once, so the CDF stays accurate when every band sits far in
+    a tail of the marginal (as on the ridge).
+    """
+    if not (np.ndim(sigma) == 0 and sigma > 0):
+        raise InvalidInputError("sigma must be a positive scalar")
+    steps = params.steps
     x = np.asarray(x, dtype=float)
-    out = np.zeros(x.shape if x.ndim else ())
-    for pi_k, (lo, hi) in zip(mix.probs, mix.component_bounds):
-        z_lo = (lo - params.theta0) / s
-        z_hi = (hi - params.theta0) / s
-        mass = ndtr(z_hi) - ndtr(z_lo)
-        if mass <= 0.0:
-            inner = np.where(x >= hi, 1.0, 0.0)
-        else:
-            zx = (np.clip(x, lo, hi) - params.theta0) / s
-            inner = np.clip((ndtr(zx) - ndtr(z_lo)) / mass, 0.0, 1.0)
-        out = out + pi_k * inner
-    out = np.clip(out, 0.0, 1.0)
+    s = np.hypot(params.tau, sigma)
+    z = (sigma * steps.z_cutoffs - params.theta0) / s  # (K+1,), decreasing
+    lo, hi = z[1:], z[:-1]  # band k is [lo_k, hi_k) on the standardized scale
+    zx = np.clip(((x - params.theta0) / s)[..., None], lo, hi)
+    log_below = _logsumexp_last(steps.log_weights + log_gauss_mass(lo, zx))
+    log_c = _logsumexp_last(steps.log_weights + log_gauss_mass(lo, hi))
+    out = np.minimum(np.exp(log_below - log_c), 1.0)
     return float(out) if out.ndim == 0 else out
 
 

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from selectlik.cli import main
+from selectlik.cli import _emit_json, main
 
 STEP_FLAGS = ["--rho", "1,0.6,0.1", "--alpha", "0,0.025,0.05,1"]
 
@@ -203,6 +203,20 @@ class TestProbe:
         assert payload["diameter_lower_bound"] > 1000
         assert payload["unbounded"] is True
         assert isinstance(payload["limit_loglik"], float)
+
+
+class TestJsonOutput:
+    def test_non_finite_values_are_strict_json(self, tmp_path):
+        path = tmp_path / "out.json"
+        _emit_json({"a": -math.inf, "b": [math.nan, 1.5], "c": {"d": math.inf}}, path)
+
+        def reject(constant):
+            raise ValueError(f"non-standard JSON constant {constant}")
+
+        payload = json.loads(path.read_text(), parse_constant=reject)
+        assert payload["a"] == "-inf"
+        assert payload["b"] == ["nan", 1.5]
+        assert payload["c"] == {"d": "inf"}
 
 
 class TestWitness:

@@ -3,7 +3,9 @@ import warnings
 
 import numpy as np
 import pytest
-from scipy.stats import chi2
+from scipy.optimize import minimize
+from scipy.special import logsumexp
+from scipy.stats import chi2, norm
 
 from selectlik import (
     GridSpec,
@@ -23,8 +25,40 @@ from selectlik import (
     ridge_slope,
     sample_hedges,
 )
+from selectlik.model import band_index, log_band_masses, p_value
 
 from conftest import make_dataset
+
+
+def _lbfgsb_profile(data, steps, theta0, tau):
+    """Per-cell weight profile by scipy L-BFGS-B: the reference for the grid.
+
+    Maximizes the log-likelihood over the log-weight increments d in
+    [-500, 0]^(K-1) from two starts (the fixed weights and no selection),
+    with the objective and its gradient written out here from the band masses.
+    """
+    x = np.array([s.effect for s in data])
+    se = np.array([s.se for s in data])
+    nk = np.bincount(band_index(p_value(x, se), steps), minlength=steps.n_bands)
+    lbm = log_band_masses(theta0, tau, se, steps)
+    base = norm.logpdf(x, theta0, np.hypot(tau, se)).sum()
+
+    def neg(d):
+        eta = np.concatenate([[0.0], np.cumsum(d)])
+        lse = logsumexp(lbm + eta, axis=1)
+        pi = np.exp(lbm + eta - lse[:, None])
+        grad_eta = nk - pi.sum(axis=0)
+        return -(nk @ eta - lse.sum() + base), -np.cumsum(grad_eta[::-1])[::-1][1:]
+
+    starts = (
+        np.clip(np.diff(steps.log_weights), -500.0, 0.0),
+        np.zeros(steps.n_bands - 1),
+    )
+    bounds = [(-500.0, 0.0)] * (steps.n_bands - 1)
+    return max(
+        -minimize(neg, d0, jac=True, method="L-BFGS-B", bounds=bounds).fun
+        for d0 in starts
+    )
 
 
 class TestFitMle:
@@ -58,6 +92,22 @@ class TestFitMle:
         assert w[0] == 1.0
         assert all(b <= a for a, b in zip(w, w[1:]))
 
+    def test_free_weights_with_empty_last_band(self, step_setup):
+        # every study has p < 0.05: the likelihood rises as rho_3 falls, and
+        # the fit used to drive rho_3 to an exact 0 and exit as bad input
+        effects = [
+            0.526657, 0.478662, 0.563466, 0.439058, 0.759585,
+            0.629675, 0.751431, 1.308629, 0.498075, 1.028378,
+            0.74358, 0.565324, 1.074896, 0.924, 0.425571,
+            0.75196, 0.94621, 1.103063, 0.975899, 0.449907,
+        ]
+        data = [StudyObservation(effect=e, se=0.25) for e in effects]
+        fixed = fit_mle(data, step_setup)
+        free = fit_mle(data, step_setup, free_weights=True)
+        assert free.converged
+        assert free.loglik_hat >= fixed.loglik_hat - 1e-6
+        assert 0.0 < free.params_hat.steps.weights[-1] < 1e-10
+
     def test_requires_two_studies(self, uncensored):
         with pytest.raises(InvalidInputError):
             fit_mle([StudyObservation(effect=0.5, se=1.0)], uncensored)
@@ -87,20 +137,56 @@ class TestLoglikGrid:
         )
         assert np.all(prof.values >= fixed.values - 1e-6)
 
-    def test_threaded_profile_matches_serial(self, censored_dataset, step_setup):
-        a = loglik_grid(
+    def test_batched_profile_dominates_lbfgsb_oracle(self, censored_dataset, step_setup):
+        grid = loglik_grid(
             censored_dataset, (-10, 2), (0, 3), (5, 4), step_setup, profile_weights=True
         )
-        b = loglik_grid(
-            censored_dataset,
-            (-10, 2),
-            (0, 3),
-            (5, 4),
-            step_setup,
-            profile_weights=True,
-            n_jobs=3,
+        assert grid.failed_cells == 0
+        for i, theta0 in enumerate(grid.theta_axis):
+            for j, tau in enumerate(grid.tau_axis):
+                oracle = _lbfgsb_profile(censored_dataset, step_setup, theta0, tau)
+                assert grid.values[i, j] >= oracle - 1e-8
+
+    def test_ridge_grid_converges_everywhere(self, censored_dataset, step_setup):
+        # the criterion-4 corpus and grid; the oracle runs on every 23rd cell
+        prof = loglik_grid(
+            censored_dataset, (-60, 5), (0, 10), 100, step_setup, profile_weights=True
         )
-        np.testing.assert_allclose(a.values, b.values, atol=1e-8)
+        fixed = loglik_grid(censored_dataset, (-60, 5), (0, 10), 100, step_setup)
+        assert prof.failed_cells == 0
+        assert np.all(prof.values >= fixed.values - 1e-8)
+        for cell in range(0, prof.values.size, 23):
+            i, j = np.unravel_index(cell, prof.values.shape)
+            oracle = _lbfgsb_profile(
+                censored_dataset, step_setup, prof.theta_axis[i], prof.tau_axis[j]
+            )
+            assert prof.values[i, j] >= oracle - 1e-8
+
+    def test_far_left_cell_reaches_weight_optimum(self, step_setup):
+        # a corpus on which a warm-started per-cell L-BFGS-B stopped 110.9
+        # log-units short at this cell; the optimum puts the weights at
+        # (1, e^-164.06385439, e^-664.06385439), the last on the box edge
+        effects = [
+            0.460667, 1.003125, 0.704309, 0.66979, 0.690108,
+            0.471131, 0.352109, -0.117544, 0.578436, -0.127815,
+            0.531551, 0.651202, 0.780481, 0.229791, 0.693936,
+            0.606025, 0.486017, 1.049608, 0.820101, 0.998755,
+        ]
+        data = [StudyObservation(effect=e, se=0.25) for e in effects]
+        theta_star = np.linspace(-60, 5, 100)[40]
+        tau_star = np.linspace(0, 10, 100)[9]
+        grid = loglik_grid(
+            data, (theta_star, 5), (0, tau_star), (2, 10), step_setup,
+            profile_weights=True,
+        )
+        optimum = SelectionSteps(
+            cuts=step_setup.cuts,
+            weights=(1.0, math.exp(-164.06385439), math.exp(-664.06385439)),
+        )
+        bound = log_likelihood(data, ModelParams(theta_star, tau_star, optimum))
+        assert bound == pytest.approx(-3151.8868, abs=1e-4)
+        assert grid.values[0, -1] >= bound - 1e-8
+        assert grid.failed_cells == 0
 
 
 class TestRidgeSlope:
@@ -112,7 +198,6 @@ class TestRidgeSlope:
             (60, 60),
             step_setup,
             profile_weights=True,
-            n_jobs=4,
         )
         slope = ridge_slope(grid, 2.0)
         assert 0.3 <= slope <= 0.7

@@ -13,6 +13,7 @@ from selectlik import (
     StudyObservation,
     band_index,
     basic_logpdf,
+    hedges_cdf,
     hedges_logpdf,
     log_likelihood,
     log_selection_normalizer,
@@ -224,6 +225,23 @@ class TestHedgesLogpdf:
         want = 1.0 * 0.025 + 0.6 * 0.025 + 0.1 * 0.95
         got = math.exp(log_selection_normalizer(params, 1.0))
         assert got == pytest.approx(want, rel=1e-6)
+
+
+class TestHedgesCdf:
+    @pytest.mark.parametrize("x", [1.7, 5.0])
+    def test_ridge_point_matches_quadrature(self, x):
+        # far out on the ridge every band sits in the marginal's upper tail
+        theta0, tau = -1000.0, math.sqrt(1000.0)
+        steps = SelectionSteps(cuts=(0.0, 0.025, 0.05, 1.0), weights=(1.0, 0.6, 1e-300))
+        params = ModelParams(theta0=theta0, tau=tau, steps=steps)
+        s = math.hypot(tau, 1.0)
+        cuts = [c for c in (ndtri(0.95), ndtri(0.975)) if c < x]
+        edges = [theta0 - 40 * s, *cuts, x]
+        want = sum(
+            quad(lambda t: math.exp(hedges_logpdf(t, params, 1.0)), a, b, limit=200)[0]
+            for a, b in zip(edges, edges[1:])
+        )
+        assert hedges_cdf(x, params, 1.0) == pytest.approx(want, rel=1e-8)
 
 
 class TestLogLikelihood:
