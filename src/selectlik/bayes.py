@@ -14,8 +14,8 @@ import numpy as np
 
 from ._normal import norm_logpdf
 from .exceptions import GridTooSmallError, InvalidInputError
-from .estimation import GridSpec
-from .model import band_index, loglik_terms, p_value
+from .estimation import GridSpec, loglik_grid
+from .model import log_likelihood
 
 __all__ = ["PriorSpec", "PosteriorGrid", "log_posterior", "grid_posterior"]
 
@@ -70,15 +70,9 @@ class PosteriorGrid:
 
 def log_posterior(params, data, prior_spec=PriorSpec()):
     """Log posterior density (up to a constant): log-likelihood plus log prior."""
-    if len(data) == 0:
-        raise InvalidInputError("data must contain at least one study")
-    if params.tau < 0:
-        raise InvalidInputError("tau must be >= 0")
-    x = np.array([s.effect for s in data])
-    se = np.array([s.se for s in data])
-    bands = band_index(p_value(x, se), params.steps)
-    ll = float(loglik_terms(x, se, bands, params.theta0, params.tau, params.steps).sum())
-    return ll + float(prior_spec.logpdf(params.theta0, params.tau))
+    return log_likelihood(data, params) + float(
+        prior_spec.logpdf(params.theta0, params.tau)
+    )
 
 
 def _trapezoid_log_weights(axis):
@@ -105,21 +99,15 @@ def grid_posterior(data, steps, grid_spec=DEFAULT_GRID, prior_spec=PriorSpec(), 
     """Normalized posterior grid with marginals and credible intervals.
 
     Selection weights are held fixed at ``steps``; only (theta0, tau) are
-    random.  Raises GridTooSmallError when over 99% of the posterior mass
-    sits in the boundary cells, i.e. the rectangle misses the posterior bulk.
+    random.  The log-likelihood comes from the chunked ``loglik_grid`` loop,
+    so memory beyond the (theta0, tau) arrays stays bounded whatever the grid
+    size or the number of studies.  Raises GridTooSmallError when over 99% of
+    the posterior mass sits in the boundary cells, i.e. the rectangle misses
+    the posterior bulk.
     """
-    if len(data) == 0:
-        raise InvalidInputError("data must contain at least one study")
-    x = np.array([s.effect for s in data])
-    se = np.array([s.se for s in data])
-    bands = band_index(p_value(x, se), steps)
-    theta_axis = grid_spec.theta_axis
-    tau_axis = grid_spec.tau_axis
-
-    th = theta_axis[:, None, None]
-    tu = tau_axis[None, :, None]
-    ll = loglik_terms(x, se, bands, th, tu, steps).sum(axis=-1)  # (T, U)
-    log_post = ll + prior_spec.logpdf(theta_axis[:, None], tau_axis[None, :])
+    grid = loglik_grid(data, grid_spec, steps)
+    theta_axis, tau_axis = grid.theta_axis, grid.tau_axis
+    log_post = grid.values + prior_spec.logpdf(theta_axis[:, None], tau_axis[None, :])
 
     lw_theta = _trapezoid_log_weights(theta_axis)
     lw_tau = _trapezoid_log_weights(tau_axis)

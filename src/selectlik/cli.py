@@ -55,11 +55,25 @@ def _steps_from_flags(args):
         raise _CliError(EXIT_INPUT, f"invalid selection steps: {exc}")
 
 
-def _range_pair(text, flag):
-    vals = _float_list(text, flag)
-    if len(vals) != 2 or vals[0] >= vals[1]:
-        raise _CliError(EXIT_INPUT, f"{flag} must be 'lo,hi' with lo < hi")
-    return vals[0], vals[1]
+def _grid_spec_from_flags(args):
+    """GridSpec from --theta-range, --tau-range and --resolution ('n' or 'nt,nu')."""
+    theta_range = _float_list(args.theta_range, "--theta-range")
+    tau_range = _float_list(args.tau_range, "--tau-range")
+    for flag, vals in (("--theta-range", theta_range), ("--tau-range", tau_range)):
+        if len(vals) != 2:
+            raise _CliError(EXIT_INPUT, f"{flag} must be 'lo,hi'")
+    try:
+        res = [int(v) for v in args.resolution.split(",")]
+    except ValueError:
+        res = []
+    if not 1 <= len(res) <= 2:
+        raise _CliError(
+            EXIT_INPUT, "--resolution must be one or two comma-separated integers"
+        )
+    try:
+        return estimation.GridSpec(*theta_range, *tau_range, res[0], res[-1])
+    except InvalidInputError as exc:
+        raise _CliError(EXIT_INPUT, str(exc))
 
 
 def _read_studies(path):
@@ -101,6 +115,15 @@ def _atomic_write(path, text):
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def _write_grid(path, header, theta_axis, tau_axis, values):
+    """Long-format grid CSV: a 'theta,tau,<header>' line, then one row per cell."""
+    lines = [f"theta,tau,{header}"]
+    taus = tau_axis.tolist()
+    for theta, row in zip(theta_axis.tolist(), values.tolist()):
+        lines.extend(f"{theta!r},{tau!r},{v!r}" for tau, v in zip(taus, row))
+    _atomic_write(path, "\n".join(lines) + "\n")
 
 
 def _emit_json(payload, out_path=None):
@@ -199,26 +222,11 @@ def _cmd_fit(args):
 def _cmd_contour(args):
     steps = _steps_from_flags(args)
     data = _read_studies(args.studies)
-    theta_range = _range_pair(args.theta_range, "--theta-range")
-    tau_range = _range_pair(args.tau_range, "--tau-range")
-    res = [int(v) for v in _float_list(args.resolution, "--resolution")]
-    resolution = res[0] if len(res) == 1 else (res[0], res[1])
-    try:
-        grid = estimation.loglik_grid(
-            data,
-            theta_range,
-            tau_range,
-            resolution,
-            steps,
-            profile_weights=args.profile_weights,
-        )
-    except InvalidInputError as exc:
-        raise _CliError(EXIT_INPUT, str(exc))
-    lines = ["theta,tau,loglik"]
-    for i, theta in enumerate(grid.theta_axis):
-        for j, tau in enumerate(grid.tau_axis):
-            lines.append(f"{float(theta)!r},{float(tau)!r},{float(grid.values[i, j])!r}")
-    _atomic_write(args.out, "\n".join(lines) + "\n")
+    spec = _grid_spec_from_flags(args)
+    grid = estimation.loglik_grid(
+        data, spec, steps, profile_weights=args.profile_weights
+    )
+    _write_grid(args.out, "loglik", grid.theta_axis, grid.tau_axis, grid.values)
     return EXIT_OK
 
 
@@ -286,31 +294,16 @@ def _cmd_witness(args):
 def _cmd_bayes(args):
     steps = _steps_from_flags(args)
     data = _read_studies(args.studies)
-    theta_range = _range_pair(args.theta_range, "--theta-range")
-    tau_range = _range_pair(args.tau_range, "--tau-range")
-    res = [int(v) for v in _float_list(args.resolution, "--resolution")]
-    n_theta, n_tau = (res[0], res[0]) if len(res) == 1 else (res[0], res[1])
+    spec = _grid_spec_from_flags(args)
     try:
-        spec = estimation.GridSpec(
-            theta_min=theta_range[0],
-            theta_max=theta_range[1],
-            tau_min=tau_range[0],
-            tau_max=tau_range[1],
-            n_theta=n_theta,
-            n_tau=n_tau,
-        )
         prior = bayes.PriorSpec(tau_scale=args.tau_prior_scale)
         post = bayes.grid_posterior(data, steps, spec, prior, mass=args.mass)
     except (InvalidInputError, GridTooSmallError) as exc:
         raise _CliError(EXIT_INPUT, str(exc))
     if args.out_grid:
-        lines = ["theta,tau,log_post"]
-        for i, theta in enumerate(post.theta_axis):
-            for j, tau in enumerate(post.tau_axis):
-                lines.append(
-                    f"{float(theta)!r},{float(tau)!r},{float(post.log_post[i, j])!r}"
-                )
-        _atomic_write(args.out_grid, "\n".join(lines) + "\n")
+        _write_grid(
+            args.out_grid, "log_post", post.theta_axis, post.tau_axis, post.log_post
+        )
     _emit_json(
         {
             "credible_mass": args.mass,

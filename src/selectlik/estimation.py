@@ -23,11 +23,10 @@ from .model import (
     ModelParams,
     SelectionSteps,
     _logsumexp_last,
-    band_index,
+    _study_arrays,
     log_band_masses,
     log_likelihood,
     loglik_terms,
-    p_value,
 )
 
 __all__ = [
@@ -83,7 +82,11 @@ class LogLikGrid:
 
 @dataclass(frozen=True)
 class GridSpec:
-    """Rectangle and resolution for grid evaluations."""
+    """Rectangle and resolution for grid evaluations.
+
+    Both ranges must be finite and nonempty, tau nonnegative, and each axis
+    needs at least 2 points.
+    """
 
     theta_min: float
     theta_max: float
@@ -93,6 +96,9 @@ class GridSpec:
     n_tau: int = 100
 
     def __post_init__(self):
+        bounds = (self.theta_min, self.theta_max, self.tau_min, self.tau_max)
+        if not all(math.isfinite(b) for b in bounds):
+            raise InvalidInputError("grid ranges must be finite")
         if not (self.theta_min < self.theta_max and self.tau_min < self.tau_max):
             raise InvalidInputError("grid ranges must be nonempty")
         if self.n_theta < 2 or self.n_tau < 2:
@@ -151,14 +157,6 @@ class ConfidenceRegion:
     probe: RegionProbeReport
 
 
-def _data_arrays(data):
-    if len(data) == 0:
-        raise InvalidInputError("data must contain at least one study")
-    x = np.array([s.effect for s in data])
-    se = np.array([s.se for s in data])
-    return x, se
-
-
 def _weights_from_increments(d):
     """rho_1..rho_K from K-1 unconstrained increments, via negative softplus.
 
@@ -194,12 +192,11 @@ def fit_mle(
     restart wins.  Raises NonConvergenceError (carrying the best point) if
     no restart met the termination criteria.
     """
-    x, se = _data_arrays(data)
+    x, se, bands = _study_arrays(data, steps)
     if len(data) < 2:
         raise InvalidInputError("need at least two studies to fit")
     if free_weights and steps.n_bands < 2:
         raise InvalidInputError("free-weight fitting needs at least two bands")
-    bands = band_index(p_value(x, se), steps)
     cuts = steps.cuts
 
     def unpack(p):
@@ -274,19 +271,12 @@ def _fd_gradient_norm(objective, p, h=1e-5):
     return float(np.linalg.norm(g))
 
 
-def _fixed_grid_values(x, se, bands, theta_axis, tau_axis, steps):
-    th = theta_axis[:, None, None]  # (T, 1, 1)
-    tu = tau_axis[None, :, None]  # (1, U, 1)
-    terms = loglik_terms(x, se, bands, th, tu, steps)  # (T, U, N)
-    return terms.sum(axis=-1)
-
-
 # The weight profile works on log-weight increments d (eta = L d, eta_1 = 0)
 # in this box; the lower edge stands in for a band weight of zero.
 _D_LO, _D_HI = -500.0, 0.0
-# Cells x studies x bands held at once by the batched profile: bounds its
-# working arrays at a few hundred kB whatever the grid size.
-_PROFILE_CHUNK_ELEMS = 2**16
+# Cells x studies x bands held at once by a grid chunk: bounds the working
+# arrays at a few hundred kB whatever the grid size or the number of studies.
+_CHUNK_ELEMS = 2**16
 # Newton steps are capped in max-norm: on far-left cells the Hessian vanishes
 # and an uncapped step overshoots straight to the box edge.
 _MAX_STEP = 16.0
@@ -403,59 +393,47 @@ def _profile_chunk(lbm, nk, d_fixed):
     return _profile_value(lbm, nk, d), failed
 
 
-def loglik_grid(
-    data,
-    theta_range,
-    tau_range,
-    resolution,
-    rho_fixed,
-    profile_weights=False,
-):
-    """Dense log-likelihood over a (theta0, tau) rectangle.
+def loglik_grid(data, grid_spec, rho_fixed, profile_weights=False):
+    """Dense log-likelihood over the (theta0, tau) rectangle of a GridSpec.
 
-    Without ``profile_weights`` every cell uses ``rho_fixed`` and matches
-    pointwise log_likelihood calls exactly.  With it, the selection weights
-    are maximized out at each cell (cuts stay fixed); this is the grid that
-    exposes the likelihood ridge, because the flat direction requires the
-    weight of the last band to shrink along the ray.  The profile is one
-    batched projected-Newton solve over the log-weight increments
-    d in [-500, 0]^(K-1) (so weights are non-increasing, and a weight may fall
-    to e^-500 times the one above it), run on chunks of cells holding at most
-    2^16 cells x studies x bands; each chunk costs one ``log_band_masses``
-    call.  Cells whose projected gradient does not reach 1e-10 keep their
-    best ascent point and are counted in ``LogLikGrid.failed_cells``.
+    Every grid runs through one chunked loop: each chunk holds at most 2^16
+    cells x studies x bands and costs one ``log_band_masses`` call and one
+    normal-density sum, so memory stays bounded whatever the grid size or the
+    number of studies.  Without ``profile_weights`` every cell uses
+    ``rho_fixed`` and matches pointwise log_likelihood calls up to rounding.
+    With it, the selection weights are maximized out at each cell (cuts stay
+    fixed); this is the grid that exposes the likelihood ridge, because the
+    flat direction requires the weight of the last band to shrink along the
+    ray.  The profile is one batched projected-Newton solve per chunk over the
+    log-weight increments d in [-500, 0]^(K-1) (so weights are non-increasing,
+    and a weight may fall to e^-500 times the one above it).  Cells whose
+    projected gradient does not reach 1e-10 keep their best ascent point and
+    are counted in ``LogLikGrid.failed_cells``.
     """
-    x, se = _data_arrays(data)
-    res_theta, res_tau = (
-        (resolution, resolution) if np.ndim(resolution) == 0 else resolution
-    )
-    if res_theta < 2 or res_tau < 2:
-        raise InvalidInputError("resolution must be >= 2 per axis")
-    theta_axis = np.linspace(theta_range[0], theta_range[1], res_theta)
-    tau_axis = np.linspace(tau_range[0], tau_range[1], res_tau)
-    if tau_axis[0] < 0:
-        raise InvalidInputError("tau range must be nonnegative")
-    bands = band_index(p_value(x, se), rho_fixed)
-
-    if not profile_weights or rho_fixed.n_bands < 2:
-        values = _fixed_grid_values(x, se, bands, theta_axis, tau_axis, rho_fixed)
-        return LogLikGrid(theta_axis, tau_axis, values, rho_fixed, bool(profile_weights))
-
+    x, se, bands = _study_arrays(data, rho_fixed)
+    profile = profile_weights and rho_fixed.n_bands >= 2
+    eta = rho_fixed.log_weights
     nk = np.bincount(bands, minlength=rho_fixed.n_bands).astype(float)
-    d_fixed = np.clip(np.diff(rho_fixed.log_weights), _D_LO, _D_HI)
+    d_fixed = np.clip(np.diff(eta), _D_LO, _D_HI)
+    theta_axis, tau_axis = grid_spec.theta_axis, grid_spec.tau_axis
     th, tu = (g.ravel() for g in np.meshgrid(theta_axis, tau_axis, indexing="ij"))
     values = np.empty(th.size)
     failed = 0
-    chunk = max(1, _PROFILE_CHUNK_ELEMS // (len(x) * rho_fixed.n_bands))
+    chunk = max(1, _CHUNK_ELEMS // (len(x) * rho_fixed.n_bands))
     for lo in range(0, th.size, chunk):
         t, u = th[lo : lo + chunk, None], tu[lo : lo + chunk, None]
         lbm = log_band_masses(t, u, se, rho_fixed)  # (C, N, K)
         base = norm_logpdf(x, t, np.hypot(u, se)).sum(axis=-1)
-        prof, bad = _profile_chunk(lbm, nk, d_fixed)
+        if profile:
+            prof, bad = _profile_chunk(lbm, nk, d_fixed)
+            failed += int(bad.sum())
+        else:
+            prof = eta @ nk - _logsumexp_last(lbm + eta).sum(axis=-1)
         values[lo : lo + chunk] = prof + base
-        failed += int(bad.sum())
-    values = values.reshape(len(theta_axis), len(tau_axis))
-    return LogLikGrid(theta_axis, tau_axis, values, rho_fixed, True, failed)
+    values = values.reshape(grid_spec.n_theta, grid_spec.n_tau)
+    return LogLikGrid(
+        theta_axis, tau_axis, values, rho_fixed, bool(profile_weights), failed
+    )
 
 
 def ridge_slope(grid, level_offset):
@@ -559,13 +537,7 @@ def lr_confidence_region(
     if fit is None:
         fit = fit_mle(data, rho_fixed)
     threshold = float(chi2.ppf(level, df=2))
-    grid = loglik_grid(
-        data,
-        (grid_spec.theta_min, grid_spec.theta_max),
-        (grid_spec.tau_min, grid_spec.tau_max),
-        (grid_spec.n_theta, grid_spec.n_tau),
-        rho_fixed,
-    )
+    grid = loglik_grid(data, grid_spec, rho_fixed)
     accept = 2.0 * (fit.loglik_hat - grid.values) <= threshold
     probe = diameter_probe(data, fit.loglik_hat, rho_fixed, level, probe_n_values)
     return ConfidenceRegion(
@@ -580,8 +552,7 @@ def lr_confidence_region(
 
 def profile_theta_loglik(data, steps, theta0, tau_hi=None):
     """Log-likelihood at theta0 maximized over tau (weights held fixed)."""
-    x, se = _data_arrays(data)
-    bands = band_index(p_value(x, se), steps)
+    x, se, bands = _study_arrays(data, steps)
     if tau_hi is None:
         tau_hi = 100.0 * max(float(np.std(x)), 1e-3)
 
@@ -616,7 +587,7 @@ def profile_theta_interval(data, level, steps, fit=None):
     def g(theta0):
         return 2.0 * (lhat - profile_theta_loglik(data, steps, theta0)) - q
 
-    x, _ = _data_arrays(data)
+    x = _study_arrays(data, steps)[0]
     scale = max(float(np.std(x)), 1e-3)
 
     def solve(direction):

@@ -325,13 +325,18 @@ def hedges_cdf(x, params, sigma):
     return float(out) if out.ndim == 0 else out
 
 
-def log_likelihood(data, params):
-    """Sum of selection-model log densities over the studies."""
+def _study_arrays(data, steps):
+    """Effects, standard errors and zero-based band indices of the studies."""
     if len(data) == 0:
         raise InvalidInputError("data must contain at least one study")
     x = np.array([s.effect for s in data])
     se = np.array([s.se for s in data])
-    k = band_index(p_value(x, se), params.steps)
+    return x, se, band_index(p_value(x, se), steps)
+
+
+def log_likelihood(data, params):
+    """Sum of selection-model log densities over the studies."""
+    x, se, k = _study_arrays(data, params.steps)
     return float(
         loglik_terms(x, se, k, params.theta0, params.tau, params.steps).sum()
     )

@@ -143,7 +143,9 @@ def test_criterion_3_convergence_to_exponential():
 
 def test_criterion_4_ridge_reproduction():
     data = _simulate(0.5, 0.2, 0.25, 20, seed=1)
-    grid = sl.loglik_grid(data, (-60, 5), (0, 10), 100, STEPS, profile_weights=True)
+    grid = sl.loglik_grid(
+        data, sl.GridSpec(-60, 5, 0, 10, 100, 100), STEPS, profile_weights=True
+    )
     slope = sl.ridge_slope(grid, 2.0)
     ok = 0.3 <= slope <= 0.7
     _report("criterion 4 ridge slope", ok, f"slope={slope:.3f}, target [0.3, 0.7]")

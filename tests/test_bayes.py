@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -88,6 +89,20 @@ class TestGridPosterior:
         )
         with pytest.raises(GridTooSmallError):
             grid_posterior(data, uncensored, spec)
+
+    def test_memory_bounded_by_grid_chunks(self, step_setup):
+        # the full (200, 200, 50, 3) band-mass tensor alone would take 48 MB
+        data = make_dataset(1.0, 0.2, 1.0, 50, 0, step_setup)
+        spec = GridSpec(
+            theta_min=-5, theta_max=5, tau_min=0, tau_max=5, n_theta=200, n_tau=200
+        )
+        tracemalloc.start()
+        try:
+            grid_posterior(data, step_setup, spec)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
 
     def test_credible_interval_orders(self, step_setup):
         data = make_dataset(1.0, 0.2, 1.0, 10, 8, step_setup)

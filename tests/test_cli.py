@@ -190,6 +190,40 @@ class TestContour:
         assert math.isfinite(float(ll))
 
 
+class TestGridFlags:
+    @pytest.mark.parametrize(
+        "command, flag",
+        [("contour", "--tau-range=0,inf"), ("bayes", "--theta-range=-inf,5")],
+    )
+    def test_non_finite_range_exit_2(self, tmp_path, capsys, command, flag):
+        path, _ = simulate_file(tmp_path, capsys)
+        out_path = tmp_path / "grid.csv"
+        code, _, err = run(
+            capsys, command, str(path), *STEP_FLAGS, flag, "--out", str(out_path)
+        )
+        assert code == 2
+        assert "finite" in err
+        assert not out_path.exists()
+
+    @pytest.mark.parametrize("command", ["contour", "bayes"])
+    @pytest.mark.parametrize("resolution", ["2.9,3,7", "3.0", "6,5,4", "1", "4,x", ""])
+    def test_bad_resolution_exit_2(self, tmp_path, capsys, command, resolution):
+        path, _ = simulate_file(tmp_path, capsys)
+        out_path = tmp_path / "grid.csv"
+        code, _, _ = run(
+            capsys,
+            command,
+            str(path),
+            *STEP_FLAGS,
+            "--resolution",
+            resolution,
+            "--out",
+            str(out_path),
+        )
+        assert code == 2
+        assert not out_path.exists()
+
+
 class TestProbe:
     def test_probe_report(self, tmp_path, capsys):
         # seed 8 yields an all-significant corpus whose region hits the ray

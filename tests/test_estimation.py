@@ -113,11 +113,32 @@ class TestFitMle:
             fit_mle([StudyObservation(effect=0.5, se=1.0)], uncensored)
 
 
+class TestGridSpec:
+    @pytest.mark.parametrize(
+        "bounds",
+        [
+            (-math.inf, 5, 0, 10),
+            (-60, math.inf, 0, 10),
+            (-60, 5, 0, math.inf),
+            (-60, 5, math.nan, 10),
+        ],
+    )
+    def test_rejects_non_finite_bounds(self, bounds):
+        with pytest.raises(InvalidInputError, match="finite"):
+            GridSpec(*bounds)
+
+
 class TestLoglikGrid:
-    def test_matches_pointwise_loglik(self, censored_dataset, step_setup):
-        grid = loglik_grid(censored_dataset, (-1, 2), (0, 1), (7, 5), step_setup)
-        for i in (0, 3, 6):
-            for j in (0, 2, 4):
+    # 40 x 40 cells at N = 20, K = 3 span two chunks of 1092 cells
+    @pytest.mark.parametrize("n_theta, n_tau", [(7, 5), (40, 40)])
+    def test_matches_pointwise_loglik(
+        self, censored_dataset, step_setup, n_theta, n_tau
+    ):
+        grid = loglik_grid(
+            censored_dataset, GridSpec(-1, 2, 0, 1, n_theta, n_tau), step_setup
+        )
+        for i in (0, n_theta // 2, n_theta - 1):
+            for j in (0, n_tau // 2, n_tau - 1):
                 params = ModelParams(
                     theta0=grid.theta_axis[i], tau=grid.tau_axis[j], steps=step_setup
                 )
@@ -127,19 +148,21 @@ class TestLoglikGrid:
 
     def test_grid_max_below_mle(self, censored_dataset, step_setup):
         fit = fit_mle(censored_dataset, step_setup)
-        grid = loglik_grid(censored_dataset, (-1, 2), (0, 1), 40, step_setup)
+        grid = loglik_grid(censored_dataset, GridSpec(-1, 2, 0, 1, 40, 40), step_setup)
         assert grid.values.max() <= fit.loglik_hat + 1e-6
 
     def test_profile_dominates_fixed(self, censored_dataset, step_setup):
-        fixed = loglik_grid(censored_dataset, (-5, 2), (0, 2), (6, 5), step_setup)
-        prof = loglik_grid(
-            censored_dataset, (-5, 2), (0, 2), (6, 5), step_setup, profile_weights=True
-        )
+        spec = GridSpec(-5, 2, 0, 2, 6, 5)
+        fixed = loglik_grid(censored_dataset, spec, step_setup)
+        prof = loglik_grid(censored_dataset, spec, step_setup, profile_weights=True)
         assert np.all(prof.values >= fixed.values - 1e-6)
 
     def test_batched_profile_dominates_lbfgsb_oracle(self, censored_dataset, step_setup):
         grid = loglik_grid(
-            censored_dataset, (-10, 2), (0, 3), (5, 4), step_setup, profile_weights=True
+            censored_dataset,
+            GridSpec(-10, 2, 0, 3, 5, 4),
+            step_setup,
+            profile_weights=True,
         )
         assert grid.failed_cells == 0
         for i, theta0 in enumerate(grid.theta_axis):
@@ -149,10 +172,9 @@ class TestLoglikGrid:
 
     def test_ridge_grid_converges_everywhere(self, censored_dataset, step_setup):
         # the criterion-4 corpus and grid; the oracle runs on every 23rd cell
-        prof = loglik_grid(
-            censored_dataset, (-60, 5), (0, 10), 100, step_setup, profile_weights=True
-        )
-        fixed = loglik_grid(censored_dataset, (-60, 5), (0, 10), 100, step_setup)
+        spec = GridSpec(-60, 5, 0, 10, 100, 100)
+        prof = loglik_grid(censored_dataset, spec, step_setup, profile_weights=True)
+        fixed = loglik_grid(censored_dataset, spec, step_setup)
         assert prof.failed_cells == 0
         assert np.all(prof.values >= fixed.values - 1e-8)
         for cell in range(0, prof.values.size, 23):
@@ -176,7 +198,7 @@ class TestLoglikGrid:
         theta_star = np.linspace(-60, 5, 100)[40]
         tau_star = np.linspace(0, 10, 100)[9]
         grid = loglik_grid(
-            data, (theta_star, 5), (0, tau_star), (2, 10), step_setup,
+            data, GridSpec(theta_star, 5, 0, tau_star, 2, 10), step_setup,
             profile_weights=True,
         )
         optimum = SelectionSteps(
@@ -193,9 +215,7 @@ class TestRidgeSlope:
     def test_censored_profile_ridge_near_half(self, censored_dataset, step_setup):
         grid = loglik_grid(
             censored_dataset,
-            (-60, 5),
-            (0, 10),
-            (60, 60),
+            GridSpec(-60, 5, 0, 10, 60, 60),
             step_setup,
             profile_weights=True,
         )
@@ -205,7 +225,7 @@ class TestRidgeSlope:
     def test_uncensored_grid_has_no_ridge(self, uncensored):
         data = make_dataset(0.5, 0.2, 0.5, 40, 0, uncensored)
         fit = fit_mle(data, uncensored)
-        grid = loglik_grid(data, (-60, 5), (0, 10), (40, 40), uncensored)
+        grid = loglik_grid(data, GridSpec(-60, 5, 0, 10, 40, 40), uncensored)
         with pytest.raises(NoRidgeError):
             ridge_slope(grid, 2.0)
 
